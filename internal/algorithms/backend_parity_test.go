@@ -75,14 +75,7 @@ func backendParityConfigs() []core.Config {
 	single := base
 	sharded := base
 	sharded.Shards = 4
-	overlap := sharded
-	overlap.OverlapDelivery = true
-	steal := sharded
-	steal.WorkStealing = true
-	both := sharded
-	both.OverlapDelivery = true
-	both.WorkStealing = true
-	return []core.Config{single, sharded, overlap, steal, both}
+	return []core.Config{single, sharded}
 }
 
 func backendParityGraphs() map[string]*graph.Graph {
@@ -202,8 +195,8 @@ func TestBackendParityPageRank(t *testing.T) {
 }
 
 // TestBackendParityDirection is the lifted-restriction battery: the
-// per-superstep direction axis {pull, adaptive} × {1, 4 shards with
-// overlap+steal} × every backend must match the push/flat oracle of the
+// per-superstep direction axis {pull, adaptive} × {1, 4 shards} × every
+// backend must match the push/flat oracle of the
 // same shard configuration — fingerprints and values — for SSSP,
 // PageRank and WCC. (Pull × shards is exactly the combination New used
 // to hard-reject.)
@@ -211,8 +204,6 @@ func TestBackendParityDirection(t *testing.T) {
 	single := core.Config{Combiner: core.CombinerAtomic, Threads: 4, CheckInvariants: true}
 	sharded := single
 	sharded.Shards = 4
-	sharded.OverlapDelivery = true
-	sharded.WorkStealing = true
 	configs := []core.Config{single, sharded}
 
 	for gname, g := range backendParityGraphs() {
@@ -294,7 +285,7 @@ func TestBackendParityAdaptiveResume(t *testing.T) {
 	g := backendParityGraphs()["road"]
 	cfg := core.Config{
 		Combiner: core.CombinerAtomic, Threads: 4,
-		Shards: 4, WorkStealing: true,
+		Shards:    4,
 		Direction: core.DirectionAdaptive, CheckInvariants: true,
 	}
 	prog := SSSPProgram(2)

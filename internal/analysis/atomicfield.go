@@ -14,8 +14,8 @@ import (
 // code itself, so a new plain read added three packages away from the CAS
 // loop is caught without any annotation.
 //
-// The one legitimate exception is the superstep barrier: between
-// quiesce and the next dispatch exactly one goroutine runs, and plain
+// The one legitimate exception is the superstep barrier: between the
+// worker join and the next dispatch exactly one goroutine runs, and plain
 // reads of CASed state are defined behavior (the sync.WaitGroup edge
 // orders them). Functions that run only there carry //ipregel:phase
 // <reason>, which exempts their plain accesses here and is verified by
@@ -59,7 +59,7 @@ func runAtomicField(pass *Pass) error {
 			if sum.PhaseReason == "" {
 				pass.Reportf(sum.Pos, "%s: malformed phase directive: want //ipregel:phase <reason>", sum.Name)
 			}
-			return // barrier-section function: plain reads are ordered by the quiesce edge
+			return // barrier-section function: plain reads are ordered by the join edge
 		}
 		for _, use := range sum.Plain {
 			if !atomicSet[use.Field] || sub.MarkedAtomic(use.Field) {

@@ -6,10 +6,10 @@ import (
 )
 
 // CombPure enforces combiner determinism, the property that makes
-// overlap-vs-barrier parity provable (TestOverlapNeverChangesResults
-// relies on it): a CombineFunc may run any number of times for one
-// logical message (CAS retries, sender-cache pre-combines, early drainer
-// batches) and in any interleaving, so besides not sending (sendphase's
+// flat-vs-sharded parity provable (TestShardedMatchesSingleShard relies
+// on it): a CombineFunc may run any number of times for one logical
+// message (CAS retries, sender-cache and router pre-combines) and in any
+// interleaving, so besides not sending (sendphase's
 // domain) it must not write state it did not receive as an argument, and
 // must not consult nondeterminism sources. It reports, through any chain
 // of module-internal calls: writes to captured variables, writes to

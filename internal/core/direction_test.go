@@ -79,8 +79,7 @@ func TestDirectionParity(t *testing.T) {
 		{Combiner: CombinerSpin, Threads: 4, SelectionBypass: true},
 		{Combiner: CombinerAtomic, Threads: 4, Shards: 4},
 		{Combiner: CombinerSpin, Threads: 4, Shards: 4, SelectionBypass: true},
-		{Combiner: CombinerSpin, Threads: 4, Shards: 4, OverlapDelivery: true, WorkStealing: true},
-		{Combiner: CombinerSpin, Threads: 4, Shards: 4, OverlapDelivery: true, WorkStealing: true, SelectionBypass: true},
+		{Combiner: CombinerSpin, Threads: 4, Shards: 4},
 	}
 	for _, base := range cfgs {
 		base.CheckInvariants = true
@@ -184,7 +183,7 @@ func TestHubSplitParity(t *testing.T) {
 		{Combiner: CombinerSpin, Threads: 4},
 		{Combiner: CombinerSpin, Threads: 4, SelectionBypass: true},
 		{Combiner: CombinerAtomic, Threads: 4, Shards: 4},
-		{Combiner: CombinerSpin, Threads: 4, Shards: 4, WorkStealing: true},
+		{Combiner: CombinerSpin, Threads: 4, Shards: 4},
 	}
 	for _, base := range cfgs {
 		base.CheckInvariants = true

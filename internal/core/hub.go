@@ -6,9 +6,8 @@ package core
 // inline, a push broadcast from a vertex whose out-degree exceeds the
 // cut (default: the p99.9 of the out-degree distribution) is deferred
 // into the worker's pending list and executed after the compute phase as
-// chunked subtasks that any worker can claim — through the work-stealing
-// deques when Config.WorkStealing is on, a shared claim cursor
-// otherwise ("Strategies to Deal with an Extreme Form of Irregularity",
+// chunked subtasks that any worker can claim from a shared cursor
+// ("Strategies to Deal with an Extreme Form of Irregularity",
 // arXiv 2010.01542). Deferral is invisible to the superstep's
 // semantics: push deliveries always land in the NEXT buffer, so whether
 // they happen during compute or just after changes nothing the current
@@ -72,49 +71,5 @@ func (e *Engine[V, M]) hubScatterPhase() {
 			}
 		}
 	}
-	if e.cfg.WorkStealing && e.threads > 1 && len(tasks) > 1 {
-		e.hubScatterStealing(tasks, body)
-		return
-	}
 	e.forSpans(len(tasks), func(w, k int) { body(w, tasks[k]) })
-}
-
-// hubScatterStealing runs the chunk tasks under the PR 6 deque
-// discipline: queues are seeded by the hub's shard (shard s -> worker
-// s mod threads, same affinity as the compute spans), owners pop from
-// the front, and a dry worker steals from the back of its neighbours'
-// queues.
-func (e *Engine[V, M]) hubScatterStealing(tasks []hubTask, body func(w int, t hubTask)) {
-	t := e.threads
-	if e.stealQs == nil {
-		e.stealQs = make([]stealQueue, t)
-	}
-	for i := range e.stealQs {
-		e.stealQs[i].reset()
-	}
-	for k, task := range tasks {
-		src := e.workers[task.worker]
-		d, _ := e.part.locate(int(src.hubSlots[task.idx]))
-		e.stealQs[d%t].push(int32(k))
-	}
-	e.dispatch(t, func(w int) {
-		e.guard(w, func() {
-			ctx := e.workers[w]
-			for {
-				k, ok := e.stealQs[w].popFront()
-				if !ok {
-					for off := 1; off < t; off++ {
-						if k, ok = e.stealQs[(w+off)%t].popBack(); ok {
-							ctx.stolen++
-							break
-						}
-					}
-				}
-				if !ok {
-					return
-				}
-				body(w, tasks[k])
-			}
-		})
-	})
 }

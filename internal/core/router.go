@@ -30,15 +30,6 @@ type shardRouter[M any] struct {
 	sent     []uint64
 	cross    uint64
 	combined uint64
-
-	// Overlapped-delivery state (Config.OverlapDelivery; nil otherwise).
-	// Cache evictions append to pend[d] instead of touching the mailbox;
-	// a full batch is handed to shard d's drainer and applied while
-	// compute is still running. earlyBatches counts those handoffs
-	// (StepStats.EarlyDeliveredBatches).
-	drainer      *shardDrainer[M]
-	pend         []*shardBatch[M]
-	earlyBatches uint64
 }
 
 // routeBits sizes each per-shard cache way set; same geometry as the
@@ -66,14 +57,6 @@ func newShardRouter[M any](combine CombineFunc[M], shards int, bypass bool) *sha
 	return r
 }
 
-// enableOverlap switches this router's eviction path to batched early
-// delivery through d. Pending batches are allocated lazily on first
-// eviction per destination.
-func (r *shardRouter[M]) enableOverlap(d *shardDrainer[M]) {
-	r.drainer = d
-	r.pend = make([]*shardBatch[M], len(r.dst))
-}
-
 // routeIndex hashes a local slot into a cache way (Fibonacci hashing,
 // as in senderCache.index).
 func routeIndex(local int) int {
@@ -94,31 +77,9 @@ func (r *shardRouter[M]) add(shard, local int, m M, mb mailbox[M]) {
 		ways[i] = int32(local)
 		msgs[i] = m
 	default:
-		if r.drainer != nil {
-			r.evictOverlap(shard, ways[i], msgs[i])
-		} else {
-			mb.deliver(int(ways[i]), msgs[i])
-		}
+		mb.deliver(int(ways[i]), msgs[i])
 		ways[i] = int32(local)
 		msgs[i] = m
-	}
-}
-
-// evictOverlap appends one evicted entry to the pending batch for shard,
-// submitting the batch to the shard's drainer when it fills. Only the
-// drainer goroutine touches the mailbox, so early delivery never
-// contends with other workers' evictions.
-func (r *shardRouter[M]) evictOverlap(shard int, local int32, m M) {
-	b := r.pend[shard]
-	if b == nil {
-		b = r.drainer.getBatch()
-		r.pend[shard] = b
-	}
-	b.add(local, m)
-	if b.full() {
-		r.drainer.submit(shard, b)
-		r.earlyBatches++
-		r.pend[shard] = nil
 	}
 }
 
@@ -127,18 +88,6 @@ func (r *shardRouter[M]) evictOverlap(shard int, local int32, m M) {
 // single drainer per destination shard, so the flush itself never
 // contends.
 func (r *shardRouter[M]) drainShard(shard int, mb mailbox[M]) {
-	// Residual drain of a partial overlap batch: the drainers are already
-	// quiesced and drainRouters runs one drainer per destination shard,
-	// so delivering here directly keeps the single-writer property.
-	if r.pend != nil {
-		if b := r.pend[shard]; b != nil {
-			for i, local := range b.dst {
-				mb.deliver(int(local), b.msg[i])
-			}
-			r.drainer.recycle(b)
-			r.pend[shard] = nil
-		}
-	}
 	ways, msgs := r.dst[shard], r.msg[shard]
 	for i, local := range ways {
 		if local >= 0 {
@@ -153,7 +102,7 @@ func (r *shardRouter[M]) drainShard(shard int, mb mailbox[M]) {
 // superstep, crash or no crash, before stats are gathered.
 func (r *shardRouter[M]) resetSuperstep() {
 	clear(r.sent)
-	r.cross, r.combined, r.earlyBatches = 0, 0, 0
+	r.cross, r.combined = 0, 0
 	for d := range r.frontier {
 		r.frontier[d] = r.frontier[d][:0]
 	}

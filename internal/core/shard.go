@@ -139,28 +139,11 @@ type shardSpan struct {
 	lo, hi int32
 }
 
-// stealSpanFactor is how many more spans per shard the work-stealing
-// scheduler cuts compared with the shared-cursor default: a static
-// threads-way split leaves nothing for a fast worker to steal once each
-// queue holds one span, so stealing needs finer grains to rebalance.
-const stealSpanFactor = 4
-
-// spanParts is the number of local-slot ranges each shard's scan (or
-// frontier) is cut into: `threads` under the shared-cursor scheduler,
-// finer under work stealing.
-func (e *Engine[V, M]) spanParts() int {
-	t := e.threads
-	if e.cfg.WorkStealing && t > 1 {
-		t *= stealSpanFactor
-	}
-	return t
-}
-
 // buildScanSpans precomputes the sharded full-scan work list: for each
-// shard, up to spanParts() local-slot ranges, so every worker can claim
+// shard, up to threads local-slot ranges, so every worker can claim
 // work from any shard (no worker is idled by an empty shard).
 func (e *Engine[V, M]) buildScanSpans() {
-	t := e.spanParts()
+	t := e.threads
 	for s := 0; s < e.nShards; s++ {
 		localN := e.part.localSlots(s)
 		if localN == 0 {
@@ -245,7 +228,7 @@ func (e *Engine[V, M]) forSpans(n int, body func(w, k int)) {
 
 // computePhaseSharded is computePhase over shard-local spans: select the
 // runnable shards' spans (frontier-aware skipping), then execute them
-// under the shared-cursor or work-stealing scheduler.
+// under the shared-cursor scheduler.
 func (e *Engine[V, M]) computePhaseSharded() int64 {
 	first := e.superstep == 0
 	var spans []shardSpan
@@ -275,11 +258,7 @@ func (e *Engine[V, M]) computePhaseSharded() int64 {
 		}
 	}
 	work := e.selectSpans(spans, first)
-	if e.cfg.WorkStealing {
-		e.forSpansStealing(work, spans, body)
-	} else {
-		e.forSpans(len(work), func(w, k int) { body(w, spans[work[k]]) })
-	}
+	e.forSpans(len(work), func(w, k int) { body(w, spans[work[k]]) })
 	var ran int64
 	for _, w := range e.workers {
 		ran += w.ran
@@ -330,59 +309,6 @@ func (e *Engine[V, M]) selectSpans(spans []shardSpan, first bool) []int32 {
 	return work
 }
 
-// forSpansStealing executes the selected spans under the work-stealing
-// scheduler: each worker's queue is seeded with the spans of "its"
-// shards (shard s -> worker s mod threads, preserving the cache
-// affinity of the static split), owners pop from the front in seeded
-// order, and a worker whose queue runs dry pops from the back of its
-// neighbours' queues — the classic deque discipline, here with a plain
-// mutex per queue (span grains are thousands of vertices, so queue ops
-// are far off the hot path).
-func (e *Engine[V, M]) forSpansStealing(work []int32, spans []shardSpan, body func(w int, sp shardSpan)) {
-	n := len(work)
-	if n == 0 {
-		return
-	}
-	t := e.threads
-	if t == 1 || n == 1 {
-		e.guard(0, func() {
-			for _, k := range work {
-				body(0, spans[k])
-			}
-		})
-		return
-	}
-	if e.stealQs == nil {
-		e.stealQs = make([]stealQueue, t)
-	}
-	for i := range e.stealQs {
-		e.stealQs[i].reset()
-	}
-	for _, k := range work {
-		e.stealQs[int(spans[k].shard)%t].push(k)
-	}
-	e.dispatch(t, func(w int) {
-		e.guard(w, func() {
-			ctx := e.workers[w]
-			for {
-				k, ok := e.stealQs[w].popFront()
-				if !ok {
-					for off := 1; off < t; off++ {
-						if k, ok = e.stealQs[(w+off)%t].popBack(); ok {
-							ctx.stolen++
-							break
-						}
-					}
-				}
-				if !ok {
-					return
-				}
-				body(w, spans[k])
-			}
-		})
-	})
-}
-
 func (e *Engine[V, M]) runVertexAt(w int, shard, local int32, global int32) {
 	ctx := e.workers[w]
 	ctx.curShard = shard
@@ -396,10 +322,10 @@ func (e *Engine[V, M]) runVertexAt(w int, shard, local int32, global int32) {
 }
 
 // frontierSpans chunks each shard's current frontier into up to
-// spanParts() ranges, reusing the span buffer across supersteps.
+// threads ranges, reusing the span buffer across supersteps.
 func (e *Engine[V, M]) frontierSpans() []shardSpan {
 	spans := e.frontierSpanBuf[:0]
-	t := e.spanParts()
+	t := e.threads
 	for s, sh := range e.shards {
 		n := len(sh.frontier)
 		if n == 0 {

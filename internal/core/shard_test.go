@@ -5,32 +5,27 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"ipregel/internal/graph"
 )
 
 // shardedVersions enumerates the multi-shard configurations the parity
 // tests sweep: both push combiners, scan and bypass, both partitioners,
-// 2 and 4 shards, and every delivery/scheduling mode (barrier-only,
-// overlapped drains, work stealing, and both together).
+// and 2 and 4 shards.
 func shardedVersions() []Config {
 	var out []Config
 	for _, comb := range []Combiner{CombinerSpin, CombinerAtomic} {
 		for _, bypass := range []bool{false, true} {
 			for _, kind := range []Partition{PartitionRange, PartitionHash} {
 				for _, shards := range []int{2, 4} {
-					for _, mode := range []struct{ overlap, steal bool }{
-						{false, false}, {true, false}, {false, true}, {true, true},
-					} {
-						out = append(out, Config{
-							Combiner:        comb,
-							SelectionBypass: bypass,
-							Partition:       kind,
-							Shards:          shards,
-							Threads:         4,
-							CheckInvariants: true,
-							OverlapDelivery: mode.overlap,
-							WorkStealing:    mode.steal,
-						})
-					}
+					out = append(out, Config{
+						Combiner:        comb,
+						SelectionBypass: bypass,
+						Partition:       kind,
+						Shards:          shards,
+						Threads:         4,
+						CheckInvariants: true,
+					})
 				}
 			}
 		}
@@ -144,8 +139,8 @@ func TestSingleShardStatsStayFlat(t *testing.T) {
 		if s.ShardMessages != nil || s.ShardNextFrontier != nil || s.CrossShardMessages != 0 {
 			t.Fatalf("step %d: single-shard report has shard fields: %+v", si, s)
 		}
-		if s.EarlyDeliveredBatches != 0 || s.StolenTasks != 0 || s.SkippedShards != 0 {
-			t.Fatalf("step %d: single-shard report has overlap/scheduler fields: %+v", si, s)
+		if s.SkippedShards != 0 {
+			t.Fatalf("step %d: single-shard report skipped shards: %+v", si, s)
 		}
 		if s.ShardImbalance() != 0 {
 			t.Fatalf("step %d: single-shard ShardImbalance = %v", si, s.ShardImbalance())
@@ -339,26 +334,75 @@ func TestShardConfigValidation(t *testing.T) {
 	} else if e.cfg.Direction != DirectionPull || e.cfg.Combiner == CombinerPull {
 		t.Fatalf("pull+shards normalised to combiner=%v direction=%v, want inbox combiner + DirectionPull", e.cfg.Combiner, e.cfg.Direction)
 	}
-	// Overlap and stealing are shard-scheduler features: meaningless (and
-	// rejected) on the flat engine, whether Shards is unset or exactly 1.
-	for _, shards := range []int{0, 1} {
-		if _, err := New(g, Config{Shards: shards, OverlapDelivery: true}, prog); err == nil || !strings.Contains(err.Error(), "OverlapDelivery") {
-			t.Fatalf("overlap with Shards=%d: %v", shards, err)
-		}
-		if _, err := New(g, Config{Shards: shards, WorkStealing: true}, prog); err == nil || !strings.Contains(err.Error(), "WorkStealing") {
-			t.Fatalf("stealing with Shards=%d: %v", shards, err)
-		}
-	}
 	cfg := Config{Shards: 4, Partition: PartitionHash}
 	if name := cfg.VersionName(); !strings.Contains(name, "shards4") || !strings.Contains(name, "hash") {
 		t.Fatalf("VersionName %q does not name the shard config", name)
 	}
-	cfg = Config{Shards: 4, OverlapDelivery: true, WorkStealing: true}
-	if name := cfg.VersionName(); !strings.Contains(name, "overlap") || !strings.Contains(name, "steal") {
-		t.Fatalf("VersionName %q does not name the overlap/steal modes", name)
-	}
 	if name := (Config{}).VersionName(); strings.Contains(name, "shards") {
 		t.Fatalf("single-shard VersionName %q mentions shards", name)
+	}
+}
+
+// twoIslandGraph returns a graph whose high-id half is a separate
+// component from the low-id half: under a 2-shard range partition the
+// second shard receives no traffic from a flood started in the first.
+func twoIslandGraph() *graph.Graph {
+	var b graph.Builder
+	b.BuildInEdges()
+	const half = 32
+	for i := 0; i < half-1; i++ { // chain 1..32
+		b.AddEdge(graph.VertexID(1+i), graph.VertexID(2+i))
+		b.AddEdge(graph.VertexID(2+i), graph.VertexID(1+i))
+	}
+	for i := 0; i < half; i++ { // ring 1001..1032
+		b.AddEdge(graph.VertexID(1001+i), graph.VertexID(1001+(i+1)%half))
+	}
+	return b.MustBuild()
+}
+
+// TestFrontierAwareShardSkipping pins the skip decision: a shard whose
+// component went quiescent (no active vertices, no inbound deliveries)
+// must be skipped — visibly, via StepStats.SkippedShards — while the
+// flood in the other component proceeds to the exact flat-engine result.
+// The shard-activity audit (CheckInvariants) cross-checks the incremental
+// active counts against a full flag scan at every barrier.
+func TestFrontierAwareShardSkipping(t *testing.T) {
+	g := twoIslandGraph()
+	flatE, _, err := Run(g, Config{Combiner: CombinerSpin, Threads: 2, CheckInvariants: true}, ssspProg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := flatE.ValuesDense()
+	for _, bypass := range []bool{false, true} {
+		cfg := Config{
+			Combiner:        CombinerSpin,
+			Shards:          2,
+			Threads:         2,
+			SelectionBypass: bypass,
+			CheckInvariants: true,
+		}
+		e, rep, err := Run(g, cfg, ssspProg(1))
+		if err != nil {
+			t.Fatalf("bypass=%v: %v", bypass, err)
+		}
+		var skipped int64
+		for si, s := range rep.Steps {
+			if s.SkippedShards < 0 || s.SkippedShards > 2 {
+				t.Fatalf("bypass=%v step %d: SkippedShards = %d", bypass, si, s.SkippedShards)
+			}
+			skipped += s.SkippedShards
+		}
+		// The 31-superstep chain flood leaves the island shard idle
+		// from superstep 1 on; it must be skipped, not rescanned.
+		if skipped == 0 {
+			t.Fatalf("bypass=%v: quiescent shard was never skipped", bypass)
+		}
+		got := e.ValuesDense()
+		for i := range flat {
+			if got[i] != flat[i] {
+				t.Fatalf("bypass=%v: dist[%d] = %d, want %d", bypass, i, got[i], flat[i])
+			}
+		}
 	}
 }
 
