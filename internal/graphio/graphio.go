@@ -5,7 +5,9 @@
 //
 // All readers stream line-by-line through bufio and tolerate comments, so
 // real downloads from KONECT/DIMACS would load unmodified; the test suite
-// exercises them on synthetic files with the same syntax.
+// exercises them on synthetic files with the same syntax. The text
+// readers share one line loop and one integer parser that work on the
+// scanner's bytes, so reading allocates nothing per record.
 package graphio
 
 import (

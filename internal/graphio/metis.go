@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strings"
 
 	"ipregel/internal/graph"
 )
@@ -26,31 +25,31 @@ func ReadMETIS(r io.Reader, opts Options) (*graph.Graph, error) {
 	if opts.KeepWeights {
 		return nil, fmt.Errorf("graphio: METIS weight flags are not supported")
 	}
-	sc := newScanner(r)
-	line := 0
-	next := func() (string, bool) {
-		for sc.Scan() {
-			line++
-			text := strings.TrimSpace(sc.Text())
-			if text == "" && line > 1 {
+	lr := newLines(r, "METIS")
+	next := func() ([]byte, bool) {
+		for lr.next() {
+			if len(lr.text) == 0 && lr.n > 1 {
 				// blank data lines are vertices with no neighbours
-				return "", true
+				return nil, true
 			}
-			if strings.HasPrefix(text, "%") {
+			if len(lr.text) > 0 && lr.text[0] == '%' {
 				continue
 			}
-			return text, true
+			return lr.text, true
 		}
-		return "", false
+		return nil, false
 	}
 
 	header, ok := next()
 	if !ok {
+		if err := lr.err(); err != nil {
+			return nil, err
+		}
 		return nil, fmt.Errorf("graphio: METIS input empty")
 	}
 	var n int
 	var m uint64
-	if _, err := fmt.Sscanf(header, "%d %d", &n, &m); err != nil {
+	if _, err := fmt.Sscanf(string(header), "%d %d", &n, &m); err != nil {
 		return nil, fmt.Errorf("graphio: METIS header %q: %w", header, err)
 	}
 	if n < 0 {
@@ -68,19 +67,21 @@ func ReadMETIS(r io.Reader, opts Options) (*graph.Graph, error) {
 	for u := 1; u <= n; u++ {
 		text, ok := next()
 		if !ok {
+			if err := lr.err(); err != nil {
+				return nil, err
+			}
 			return nil, fmt.Errorf("graphio: METIS input ends at vertex %d of %d", u, n)
 		}
-		i := 0
-		for i < len(text) {
+		for i := 0; i < len(text); {
 			v, ni, err := parseUint(text, i)
 			if err != nil {
-				break
+				return nil, lr.fail(fmt.Errorf("vertex %d: %w", u, err))
 			}
 			i = ni
 			if v < 1 || int(v) > n {
-				return nil, fmt.Errorf("graphio: METIS vertex %d lists out-of-range neighbour %d", u, v)
+				return nil, lr.fail(fmt.Errorf("vertex %d lists out-of-range neighbour %d", u, v))
 			}
-			b.AddEdge(graph.VertexID(u), v)
+			b.AddEdge(graph.VertexID(u), graph.VertexID(v))
 			total++
 		}
 	}

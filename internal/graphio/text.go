@@ -2,9 +2,11 @@ package graphio
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
-	"strings"
+	"math"
 
 	"ipregel/internal/graph"
 )
@@ -12,55 +14,48 @@ import (
 // readEdgeList parses whitespace-separated "src dst [weight]" lines.
 // Lines starting with '#' or '%' and blank lines are ignored; without
 // Options.KeepWeights, extra columns (weights, timestamps) are ignored.
+// With it, a missing weight column means weight 1, but a weight column
+// that is present must parse.
 func readEdgeList(r io.Reader, opts Options) (*graph.Graph, error) {
+	var b graph.Builder
+	var wb graph.WeightedBuilder
 	if opts.KeepWeights {
-		var wb graph.WeightedBuilder
 		if opts.BuildInEdges {
 			wb.BuildInEdges()
 		}
-		sc := newScanner(r)
-		line := 0
-		for sc.Scan() {
-			line++
-			text := strings.TrimSpace(sc.Text())
-			if text == "" || text[0] == '#' || text[0] == '%' {
-				continue
-			}
-			src, dst, w, err := parseWeightedEdge(text)
-			if err != nil {
-				return nil, fmt.Errorf("graphio: edge list line %d: %w", line, err)
-			}
-			if err := firstErr(opts.checkID(src), opts.checkID(dst)); err != nil {
-				return nil, fmt.Errorf("graphio: edge list line %d: %w", line, err)
-			}
-			wb.AddEdge(src, dst, w)
-		}
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return wb.Build()
+	} else {
+		applyOpts(&b, opts)
 	}
-	var b graph.Builder
-	applyOpts(&b, opts)
-	sc := newScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || text[0] == '#' || text[0] == '%' {
+	lr := newLines(r, "edge list")
+	for lr.next() {
+		text := lr.text
+		if len(text) == 0 || text[0] == '#' || text[0] == '%' {
 			continue
 		}
-		src, dst, err := parseEdge(text)
+		src, dst, i, err := parseEdge(text, 0)
+		if err == nil {
+			err = firstErr(opts.checkID(src), opts.checkID(dst))
+		}
 		if err != nil {
-			return nil, fmt.Errorf("graphio: edge list line %d: %w", line, err)
+			return nil, lr.fail(err)
 		}
-		if err := firstErr(opts.checkID(src), opts.checkID(dst)); err != nil {
-			return nil, fmt.Errorf("graphio: edge list line %d: %w", line, err)
+		if !opts.KeepWeights {
+			b.AddEdge(src, dst)
+			continue
 		}
-		b.AddEdge(src, dst)
+		w := uint32(1)
+		if i = skipBlanks(text, i); i < len(text) {
+			if w, _, err = parseUint(text, i); err != nil {
+				return nil, lr.fail(fmt.Errorf("weight: %w", err))
+			}
+		}
+		wb.AddEdge(src, dst, w)
 	}
-	if err := sc.Err(); err != nil {
+	if err := lr.err(); err != nil {
 		return nil, err
+	}
+	if opts.KeepWeights {
+		return wb.Build()
 	}
 	return b.Build()
 }
@@ -81,34 +76,32 @@ func firstErr(errs ...error) error {
 func readKONECT(r io.Reader, opts Options) (*graph.Graph, error) {
 	var b graph.Builder
 	applyOpts(&b, opts)
-	sc := newScanner(r)
-	line := 0
+	lr := newLines(r, "KONECT")
 	sawHeader := false
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+	for lr.next() {
+		text := lr.text
+		if len(text) == 0 {
 			continue
 		}
 		if text[0] == '%' {
 			if !sawHeader {
 				sawHeader = true
-				if !opts.Undirected && strings.Contains(text, "sym") && !strings.Contains(text, "asym") {
+				if !opts.Undirected && bytes.Contains(text, []byte("sym")) && !bytes.Contains(text, []byte("asym")) {
 					b.Undirected()
 				}
 			}
 			continue
 		}
-		src, dst, err := parseEdge(text)
-		if err != nil {
-			return nil, fmt.Errorf("graphio: KONECT line %d: %w", line, err)
+		src, dst, _, err := parseEdge(text, 0)
+		if err == nil {
+			err = firstErr(opts.checkID(src), opts.checkID(dst))
 		}
-		if err := firstErr(opts.checkID(src), opts.checkID(dst)); err != nil {
-			return nil, fmt.Errorf("graphio: KONECT line %d: %w", line, err)
+		if err != nil {
+			return nil, lr.fail(err)
 		}
 		b.AddEdge(src, dst)
 	}
-	if err := sc.Err(); err != nil {
+	if err := lr.err(); err != nil {
 		return nil, err
 	}
 	return b.Build()
@@ -117,7 +110,8 @@ func readKONECT(r io.Reader, opts Options) (*graph.Graph, error) {
 // readDIMACS parses the DIMACS challenge-9 .gr format used by the USA road
 // network: "c" comment lines, one "p sp <n> <m>" problem line, and
 // "a <src> <dst> <weight>" arc lines. Edge weights are ignored (the paper's
-// SSSP assumes unit weights, §4 footnote 1). Vertex identifiers are
+// SSSP assumes unit weights, §4 footnote 1) unless Options.KeepWeights is
+// set; either way a weight must fit in 32 bits. Vertex identifiers are
 // 1-based, exactly the case that motivates the paper's offset and
 // desolate-memory mappings (§5).
 func readDIMACS(r io.Reader, opts Options) (*graph.Graph, error) {
@@ -130,16 +124,14 @@ func readDIMACS(r io.Reader, opts Options) (*graph.Graph, error) {
 	} else {
 		applyOpts(&b, opts)
 	}
-	sc := newScanner(r)
-	line := 0
+	lr := newLines(r, "DIMACS")
 	declaredN := 0
 	declaredM := uint64(0)
 	seenP := false
 	arcs := uint64(0)
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+	for lr.next() {
+		text := lr.text
+		if len(text) == 0 {
 			continue
 		}
 		switch text[0] {
@@ -147,18 +139,18 @@ func readDIMACS(r io.Reader, opts Options) (*graph.Graph, error) {
 			continue
 		case 'p':
 			if seenP {
-				return nil, fmt.Errorf("graphio: DIMACS line %d: duplicate problem line", line)
+				return nil, lr.fail(errors.New("duplicate problem line"))
 			}
 			seenP = true
 			var kind string
-			if _, err := fmt.Sscanf(text, "p %s %d %d", &kind, &declaredN, &declaredM); err != nil {
-				return nil, fmt.Errorf("graphio: DIMACS line %d: bad problem line: %w", line, err)
+			if _, err := fmt.Sscanf(string(text), "p %s %d %d", &kind, &declaredN, &declaredM); err != nil {
+				return nil, lr.fail(fmt.Errorf("bad problem line: %w", err))
 			}
 			if declaredN < 0 {
-				return nil, fmt.Errorf("graphio: DIMACS line %d: negative vertex count %d", line, declaredN)
+				return nil, lr.fail(fmt.Errorf("negative vertex count %d", declaredN))
 			}
 			if err := opts.checkCount(uint64(declaredN)); err != nil {
-				return nil, fmt.Errorf("graphio: DIMACS line %d: %w", line, err)
+				return nil, lr.fail(err)
 			}
 			if opts.KeepWeights {
 				wb.ForceN(declaredN)
@@ -171,29 +163,33 @@ func readDIMACS(r io.Reader, opts Options) (*graph.Graph, error) {
 			}
 		case 'a':
 			if !seenP {
-				return nil, fmt.Errorf("graphio: DIMACS line %d: arc before problem line", line)
+				return nil, lr.fail(errors.New("arc before problem line"))
 			}
-			var s, d, w uint64
-			if _, err := fmt.Sscanf(text, "a %d %d %d", &s, &d, &w); err != nil {
-				return nil, fmt.Errorf("graphio: DIMACS line %d: bad arc: %w", line, err)
+			if len(text) < 2 || !isBlank(text[1]) {
+				return nil, lr.fail(fmt.Errorf("bad arc %q", text))
 			}
-			if s > uint64(^graph.VertexID(0)) || d > uint64(^graph.VertexID(0)) {
-				return nil, fmt.Errorf("graphio: DIMACS line %d: identifier overflows 32-bit vertex ids", line)
+			s, d, i, err := parseEdge(text, 1)
+			var w uint32
+			if err == nil {
+				w, _, err = parseUint(text, i)
 			}
-			if err := firstErr(opts.checkID(graph.VertexID(s)), opts.checkID(graph.VertexID(d))); err != nil {
-				return nil, fmt.Errorf("graphio: DIMACS line %d: %w", line, err)
+			if err != nil {
+				return nil, lr.fail(fmt.Errorf("bad arc: %w", err))
+			}
+			if err := firstErr(opts.checkID(s), opts.checkID(d)); err != nil {
+				return nil, lr.fail(err)
 			}
 			if opts.KeepWeights {
-				wb.AddEdge(graph.VertexID(s), graph.VertexID(d), uint32(w))
+				wb.AddEdge(s, d, w)
 			} else {
-				b.AddEdge(graph.VertexID(s), graph.VertexID(d))
+				b.AddEdge(s, d)
 			}
 			arcs++
 		default:
-			return nil, fmt.Errorf("graphio: DIMACS line %d: unknown record %q", line, text[0])
+			return nil, lr.fail(fmt.Errorf("unknown record %q", text[0]))
 		}
 	}
-	if err := sc.Err(); err != nil {
+	if err := lr.err(); err != nil {
 		return nil, err
 	}
 	if !seenP {
@@ -236,60 +232,92 @@ func writeDIMACS(w io.Writer, g *graph.Graph) error {
 	return bw.Flush()
 }
 
-func newScanner(r io.Reader) *bufio.Scanner {
+// lines is the one line loop every text reader shares. Each line is
+// trimmed of surrounding white space and handed out as a slice of the
+// scanner's buffer, valid until the next call to next, so reading makes
+// no per-line string.
+type lines struct {
+	sc     *bufio.Scanner
+	format string // names the format in errors
+	n      int    // 1-based number of the current line
+	text   []byte
+}
+
+func newLines(r io.Reader, format string) *lines {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	return sc
+	return &lines{sc: sc, format: format}
 }
 
-// parseEdge extracts the first two integer fields of a data line without
-// allocating a field slice (these loops dominate load time on
-// multi-hundred-million-edge files).
-func parseEdge(s string) (src, dst graph.VertexID, err error) {
-	i := 0
-	src, i, err = parseUint(s, i)
-	if err != nil {
-		return 0, 0, err
+func (l *lines) next() bool {
+	if !l.sc.Scan() {
+		return false
 	}
-	dst, _, err = parseUint(s, i)
-	if err != nil {
-		return 0, 0, err
-	}
-	return src, dst, nil
+	l.n++
+	l.text = bytes.TrimSpace(l.sc.Bytes())
+	return true
 }
 
-// parseWeightedEdge parses "src dst [weight]", defaulting the weight to 1.
-func parseWeightedEdge(s string) (src, dst graph.VertexID, w uint32, err error) {
-	i := 0
-	src, i, err = parseUint(s, i)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	dst, i, err = parseUint(s, i)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	wv, _, werr := parseUint(s, i)
-	if werr != nil {
-		return src, dst, 1, nil // no weight column
-	}
-	return src, dst, uint32(wv), nil
+// err reports a read error of the underlying reader (nil at clean EOF).
+func (l *lines) err() error { return l.sc.Err() }
+
+// fail wraps err with the format name and the current line number.
+func (l *lines) fail(err error) error {
+	return fmt.Errorf("graphio: %s line %d: %w", l.format, l.n, err)
 }
 
-func parseUint(s string, i int) (graph.VertexID, int, error) {
-	for i < len(s) && (s[i] == ' ' || s[i] == '\t') {
+// parseEdge parses the "src dst" fields starting at b[i] and returns the
+// index just past dst. Further columns are left to the caller.
+func parseEdge(b []byte, i int) (src, dst graph.VertexID, next int, err error) {
+	s, i, err := parseUint(b, i)
+	if err != nil {
+		return 0, 0, i, err
+	}
+	d, i, err := parseUint(b, i)
+	if err != nil {
+		return 0, 0, i, err
+	}
+	return graph.VertexID(s), graph.VertexID(d), i, nil
+}
+
+func isBlank(c byte) bool { return c == ' ' || c == '\t' }
+
+func skipBlanks(b []byte, i int) int {
+	for i < len(b) && isBlank(b[i]) {
 		i++
 	}
-	if i >= len(s) || s[i] < '0' || s[i] > '9' {
-		return 0, i, fmt.Errorf("expected integer in %q", s)
+	return i
+}
+
+// parseUint parses the decimal field at b[i], after any blanks, and
+// returns its value and the index just past its last digit. Identifiers
+// and weights are both 32-bit, so a larger value is an error. It is the
+// one integer parser of every text record; errors name the bad token.
+func parseUint(b []byte, i int) (uint32, int, error) {
+	i = skipBlanks(b, i)
+	if i >= len(b) {
+		return 0, i, errors.New("expected integer, found end of line")
 	}
+	if b[i] < '0' || b[i] > '9' {
+		return 0, i, fmt.Errorf("expected integer, found %q", token(b, i))
+	}
+	start := i
 	var v uint64
-	for i < len(s) && s[i] >= '0' && s[i] <= '9' {
-		v = v*10 + uint64(s[i]-'0')
-		if v > uint64(^graph.VertexID(0)) {
-			return 0, i, fmt.Errorf("identifier overflows 32 bits in %q", s)
+	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+		v = v*10 + uint64(b[i]-'0')
+		if v > math.MaxUint32 {
+			return 0, i, fmt.Errorf("integer %q overflows 32 bits", token(b, start))
 		}
 		i++
 	}
-	return graph.VertexID(v), i, nil
+	return uint32(v), i, nil
+}
+
+// token returns the blank-delimited field starting at b[i], for errors.
+func token(b []byte, i int) string {
+	j := i
+	for j < len(b) && !isBlank(b[j]) {
+		j++
+	}
+	return string(b[i:j])
 }
