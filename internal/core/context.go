@@ -136,7 +136,11 @@ func (c *Context[V, M]) VertexCount() int { return c.e.g.N() }
 // most one message (§6.3), so the usual `for ctx.NextMessage(v, &m)` drain
 // loop iterates at most once.
 func (c *Context[V, M]) NextMessage(v Vertex[V, M], m *M) bool {
-	return c.e.shards[v.shard].mb.take(int(v.local), m)
+	msg, ok := c.e.shards[v.shard].mb.take(int(v.local))
+	if ok {
+		*m = msg
+	}
+	return ok
 }
 
 // Send delivers msg to the vertex with external identifier dst
@@ -150,7 +154,7 @@ func (c *Context[V, M]) Send(dst graph.VertexID, msg M) {
 	if e.hybridPull() {
 		panic("core: IP_send_message is not available on a pull-direction superstep (Config.Direction); pull transport is broadcast-only (§6.2)")
 	}
-	slot := e.addr.locate(dst)
+	slot := e.locate(dst)
 	if slot < 0 || slot >= e.slots || (e.shift > 0 && slot < e.shift) {
 		panic(fmt.Sprintf("core: message sent to unknown vertex %d", dst))
 	}
@@ -180,7 +184,45 @@ func (c *Context[V, M]) push(slot int, msg M) {
 		c.cache.add(slot, msg, e.mb)
 		return
 	}
-	e.mb.deliver(slot, msg)
+	e.deliver(slot, msg)
+}
+
+// scatter delivers msg to the out-neighbours nbs (internal indices) and,
+// under selection bypass, enrols them; Broadcast and the hub-split chunks
+// share it, and count the messages themselves. On a flat engine with a
+// concrete mailbox view the loop is monomorphic: the slot is folded to
+// nb + shift and deliver is a direct call. Otherwise every neighbour goes
+// through the addressing module like any identifier-addressed message
+// (§5) and then through push's routing.
+func (c *Context[V, M]) scatter(nbs []graph.VertexID, msg M) {
+	e := c.e
+	shift := e.shift
+	if mb := e.spinMB; mb != nil {
+		for _, nb := range nbs {
+			mb.deliver(int(nb)+shift, msg)
+		}
+	} else if mb := e.mutexMB; mb != nil {
+		for _, nb := range nbs {
+			mb.deliver(int(nb)+shift, msg)
+		}
+	} else if mb := e.atomicMB; mb != nil {
+		for _, nb := range nbs {
+			mb.deliver(int(nb)+shift, msg)
+		}
+	} else {
+		base := e.g.Base()
+		for _, nb := range nbs {
+			c.push(e.locate(base+nb), msg)
+		}
+	}
+	if e.cfg.SelectionBypass {
+		// Every addressing scheme maps internal index nb to slot
+		// nb + shift (the hashmap's table included), so enrolment needs
+		// no lookup.
+		for _, nb := range nbs {
+			c.enroll(int(nb) + shift)
+		}
+	}
 }
 
 // Broadcast sends msg to every out-neighbour of v (IP_broadcast). With
@@ -231,18 +273,9 @@ func (c *Context[V, M]) Broadcast(v Vertex[V, M], msg M) {
 			return
 		}
 	}
-	base := e.g.Base()
-	for _, nb := range e.g.OutNeighborsWith(&c.nbuf, idx) {
-		// Route through the addressing module like any identifier-addressed
-		// message (§5): for direct/offset/desolate mapping this folds into
-		// pure arithmetic, for the hashmap baseline it is a real lookup.
-		dst := e.addr.locate(base + nb)
-		c.push(dst, msg)
-		c.msgs++
-		if e.cfg.SelectionBypass {
-			c.enroll(dst)
-		}
-	}
+	nbs := e.g.OutNeighborsWith(&c.nbuf, idx)
+	c.msgs += uint64(len(nbs))
+	c.scatter(nbs, msg)
 }
 
 // VoteToHalt marks v inactive for the next superstep (IP_vote_to_halt);

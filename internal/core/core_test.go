@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ipregel/internal/graph"
 )
@@ -365,10 +366,19 @@ func TestMailboxFootprintOrdering(t *testing.T) {
 	if !(spin.footprintBytes() < mutex.footprintBytes()) {
 		t.Fatalf("spinlock mailbox (%d B) should be lighter than mutex (%d B)", spin.footprintBytes(), mutex.footprintBytes())
 	}
-	// Pull has no locks at all: its lock overhead is zero, though it pays
-	// for outboxes.
-	if pull.footprintBytes() != pull.buffersBytes()+1000*4+1000 {
-		t.Fatalf("pull footprint accounting off: %d", pull.footprintBytes())
+	// Each version costs one cell per slot, sized by its lock: 4-byte
+	// messages in 16 B spinlock cells (4 B lock, 2 flags, 2 padding, two
+	// messages) and 20 B mutex cells (8 B lock).
+	if got := spin.footprintBytes(); got != 1000*16 {
+		t.Fatalf("spinlock footprint = %d, want 1000 cells x 16 B", got)
+	}
+	if got := mutex.footprintBytes(); got != 1000*20 {
+		t.Fatalf("mutex footprint = %d, want 1000 cells x 20 B", got)
+	}
+	// Pull has no locks at all: its cell is the two flags and two
+	// messages (12 B), though it pays for outboxes and their flags.
+	if got := pull.footprintBytes(); got != 1000*12+1000*4+1000 {
+		t.Fatalf("pull footprint accounting off: %d", got)
 	}
 }
 
@@ -471,9 +481,14 @@ func TestFootprintPerVersion(t *testing.T) {
 	if spin >= mutex {
 		t.Fatalf("spinlock engine (%d B) should be lighter than mutex engine (%d B)", spin, mutex)
 	}
-	// The difference is exactly the lock arrays: (8-4) bytes per slot.
-	if mutex-spin != 512*(mutexBytes-spinLockBytes) {
-		t.Fatalf("lock delta = %d, want %d", mutex-spin, 512*(mutexBytes-spinLockBytes))
+	// The difference is exactly the cells' lock fields: a 20 B mutex cell
+	// against a 16 B spinlock cell per slot for 4-byte messages.
+	cellDelta := uint64(unsafe.Sizeof(cell[sync.Mutex, uint32]{}) - unsafe.Sizeof(cell[spinLock, uint32]{}))
+	if cellDelta != 4 {
+		t.Fatalf("mutex-spinlock cell delta = %d B, want 4", cellDelta)
+	}
+	if mutex-spin != 512*cellDelta {
+		t.Fatalf("lock delta = %d, want %d", mutex-spin, 512*cellDelta)
 	}
 }
 

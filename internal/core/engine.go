@@ -36,11 +36,21 @@ type Engine[V, M any] struct {
 	// shards owns all per-vertex state (always len nShards ≥ 1); the
 	// flat fields below (mb, values, active, inNext) alias shards[0]'s
 	// arrays when nShards == 1, keeping the pre-shard code paths intact.
-	shards  []*engineShard[V, M]
-	mb      mailbox[M]
-	shift   int // slot = internal index + shift (non-zero only for desolate)
-	slots   int
-	threads int
+	shards []*engineShard[V, M]
+	mb     mailbox[M]
+	// spinMB, mutexMB and atomicMB are mb's concrete type, set (at most
+	// one) on a flat engine without sender combining and with arithmetic
+	// addressing: Send and Broadcast then deliver without the mailbox
+	// interface and with the slot folded to index + shift.
+	spinMB   *spinMailbox[M]
+	mutexMB  *mutexMailbox[M]
+	atomicMB *atomicMailbox[M]
+	// hashAddr is addr when it is the hashmap baseline (the only scheme
+	// whose locate is a lookup rather than arithmetic), nil otherwise.
+	hashAddr *hashAddresser
+	shift    int // slot = internal index + shift (non-zero only for desolate)
+	slots    int
+	threads  int
 
 	values []V
 	active []uint8
@@ -184,6 +194,7 @@ func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M
 		slots:   addr.slots(),
 		threads: cfg.threads(),
 	}
+	e.hashAddr, _ = addr.(*hashAddresser)
 	e.part, err = newPartitioner(cfg, e.slots)
 	if err != nil {
 		return nil, err
@@ -208,6 +219,16 @@ func New[V, M any](g *graph.Graph, cfg Config, prog Program[V, M]) (*Engine[V, M
 		e.values = sh.values
 		e.active = sh.active
 		e.inNext = sh.inNext
+		if !cfg.SenderCombining && cfg.Addressing != AddressHashmap {
+			switch mb := sh.mb.(type) {
+			case *spinMailbox[M]:
+				e.spinMB = mb
+			case *mutexMailbox[M]:
+				e.mutexMB = mb
+			case *atomicMailbox[M]:
+				e.atomicMB = mb
+			}
+		}
 	} else {
 		for s := range e.shards {
 			e.shards[s], err = newEngineShard[V, M](cfg, e.part.localSlots(s), prog.Combine)
@@ -597,11 +618,40 @@ func (e *Engine[V, M]) computePhase() int64 {
 	return ran
 }
 
+// runVertex runs IP_compute on one vertex of the flat engine, then drops
+// whatever current mail the program left undrained (consume-on-return,
+// see cells).
 func (e *Engine[V, M]) runVertex(w, slot int) {
 	ctx := e.workers[w]
 	e.active[slot] = 1
 	ctx.ran++
 	e.prog.Compute(ctx, Vertex[V, M]{e: e, slot: int32(slot), shard: 0, local: int32(slot)})
+	e.mb.consume(slot)
+}
+
+// locate is addr.locate with the arithmetic schemes folded in: under
+// direct, offset and desolate mapping the slot of id is id - base +
+// shift (§5); only the hashmap baseline pays a lookup.
+func (e *Engine[V, M]) locate(id graph.VertexID) int {
+	if e.hashAddr != nil {
+		return e.hashAddr.locate(id)
+	}
+	return int(id-e.g.Base()) + e.shift
+}
+
+// deliver hands one message to the flat engine's mailbox, through its
+// concrete type when one is set.
+func (e *Engine[V, M]) deliver(slot int, msg M) {
+	switch {
+	case e.spinMB != nil:
+		e.spinMB.deliver(slot, msg)
+	case e.mutexMB != nil:
+		e.mutexMB.deliver(slot, msg)
+	case e.atomicMB != nil:
+		e.atomicMB.deliver(slot, msg)
+	default:
+		e.mb.deliver(slot, msg)
+	}
 }
 
 // usesPull reports whether the engine runs the LEGACY pull-combiner

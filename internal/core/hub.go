@@ -61,15 +61,8 @@ func (e *Engine[V, M]) hubScatterPhase() {
 			ctx.curShard = int32(d)
 		}
 		ctx.hubTasks++
-		base := e.g.Base()
 		nbs := e.g.OutNeighborsWith(&ctx.nbuf, slot-e.shift)
-		for _, nb := range nbs[t.lo:t.hi] {
-			dst := e.addr.locate(base + nb)
-			ctx.push(dst, msg)
-			if e.cfg.SelectionBypass {
-				ctx.enroll(dst)
-			}
-		}
+		ctx.scatter(nbs[t.lo:t.hi], msg)
 	}
 	e.forSpans(len(tasks), func(w, k int) { body(w, tasks[k]) })
 }

@@ -16,7 +16,16 @@ type spinLock struct{ v uint32 }
 
 const spinTries = 64
 
+// lock is inlinable: the uncontended acquire is one load and one CAS at
+// the delivery site; only a held lock pays the call into lockSlow.
 func (l *spinLock) lock() {
+	if atomic.LoadUint32(&l.v) == 0 && atomic.CompareAndSwapUint32(&l.v, 0, 1) {
+		return
+	}
+	l.lockSlow()
+}
+
+func (l *spinLock) lockSlow() {
 	for {
 		for i := 0; i < spinTries; i++ {
 			// Test-and-test-and-set: spin on a plain load and attempt the
@@ -33,11 +42,3 @@ func (l *spinLock) lock() {
 func (l *spinLock) unlock() {
 	atomic.StoreUint32(&l.v, 0)
 }
-
-// spinLockBytes and mutexBytes are the per-lock sizes used by the
-// memory-footprint accounting (§6.1 compares 40 vs 4 bytes in C; in Go a
-// sync.Mutex is 8 bytes and the spinlock 4).
-const (
-	spinLockBytes = 4
-	mutexBytes    = 8
-)

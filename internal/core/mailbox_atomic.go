@@ -120,7 +120,7 @@ func (mb *atomicMailbox[M]) deliver(dst int, msg M) {
 			for {
 				oldBits := atomic.LoadUint64(word)
 				cur := mb.value(oldBits)
-				mb.combine(&cur, msg)
+				mb.combine(noescape(&cur), msg)
 				newBits := mb.bits(cur)
 				if newBits == oldBits {
 					// combine left the mailbox unchanged (e.g. min with a
@@ -153,17 +153,35 @@ func (mb *atomicMailbox[M]) deliver(dst int, msg M) {
 	}
 }
 
-// The read side below runs after the superstep barrier (take/hasCurrent by
-// the slot's owner, peek/restoreCurrent/swap by the coordinator), so plain
-// accesses suffice: the barrier orders them after every atomic delivery.
+// noescape hides p from escape analysis. deliver combines into a stack
+// copy of the mailbox word through the combine func value, which the
+// compiler cannot see into, so without it that copy would move to the
+// heap on every combine. CombineFunc only merges into *old for the
+// duration of the call and never retains the pointer, which is what makes
+// hiding it sound. The pointer round-trips through a uintptr variable,
+// which escape analysis does not follow; the copy stays address-taken, so
+// deliver re-reads it from memory after the call.
+func noescape[M any](p *M) *M {
+	x := uintptr(unsafe.Pointer(p))
+	return *(**M)(unsafe.Pointer(&x))
+}
 
-func (mb *atomicMailbox[M]) take(slot int, m *M) bool {
-	if mb.stateNow[slot] != slotFull {
-		return false
+// The read side below runs after the superstep barrier (take/consume/
+// hasCurrent by the slot's owner, peek/restoreCurrent/swap by the
+// coordinator), so plain accesses suffice: the barrier orders them after
+// every atomic delivery.
+
+func (mb *atomicMailbox[M]) take(slot int) (M, bool) {
+	m, ok := mb.peek(slot)
+	mb.consume(slot)
+	return m, ok
+}
+
+// consume drops slot's current message (consume-on-return, see cells).
+func (mb *atomicMailbox[M]) consume(slot int) {
+	if mb.stateNow[slot] != slotEmpty {
+		mb.stateNow[slot] = slotEmpty
 	}
-	*m = mb.value(mb.now[slot])
-	mb.stateNow[slot] = slotEmpty
-	return true
 }
 
 func (mb *atomicMailbox[M]) hasCurrent(slot int) bool { return mb.stateNow[slot] == slotFull }
@@ -181,8 +199,9 @@ func (mb *atomicMailbox[M]) restoreCurrent(slot int, m M) {
 	mb.stateNow[slot] = slotFull
 }
 
+// swap needs no clear: consume-on-return left every current state
+// slotEmpty, so the old current arrays serve as the next ones as they are.
 func (mb *atomicMailbox[M]) swap() {
-	clear(mb.stateNow) // drop stale occupancy of vertices that never drained
 	mb.now, mb.next = mb.next, mb.now
 	mb.stateNow, mb.stateNext = mb.stateNext, mb.stateNow
 }
@@ -218,11 +237,15 @@ func (mb *atomicMailbox[M]) contentionRetries() uint64 {
 // auditBarrier verifies the per-slot state machine settled: once every
 // worker has joined the barrier, no slot may remain slotBusy — a busy slot
 // here means a deliverer won the empty→busy CAS and vanished before
-// publishing, which would hang the next superstep's senders.
+// publishing, which would hang the next superstep's senders — and no
+// current message survived its vertex's compute (consume-on-return).
 func (mb *atomicMailbox[M]) auditBarrier() error {
 	for i := range mb.stateNext {
 		if atomic.LoadUint32(&mb.stateNext[i]) == slotBusy {
 			return fmt.Errorf("atomic mailbox slot %d stuck in slotBusy at the barrier: a delivery won the empty slot but never published its value", i)
+		}
+		if mb.stateNow[i] != slotEmpty {
+			return fmt.Errorf("slot %d still holds current mail at the barrier: its vertex never ran, so the buffer swap would leak the message into the next superstep", i)
 		}
 	}
 	return nil

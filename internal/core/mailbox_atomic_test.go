@@ -30,7 +30,8 @@ func hammerMailbox[M any](t *testing.T, mb mailbox[M], workers, perWorker, hot i
 	mb.swap()
 	out := make([]M, hot)
 	for s := 0; s < hot; s++ {
-		if !mb.take(s, &out[s]) {
+		var ok bool
+		if out[s], ok = mb.take(s); !ok {
 			t.Fatalf("slot %d: no message after hammering", s)
 		}
 	}
@@ -193,9 +194,8 @@ func TestSenderCacheEquivalence(t *testing.T) {
 	direct.swap()
 	cached.swap()
 	for s := 0; s < slots; s++ {
-		var a, b uint32
-		okA := direct.take(s, &a)
-		okB := cached.take(s, &b)
+		a, okA := direct.take(s)
+		b, okB := cached.take(s)
 		if okA != okB || a != b {
 			t.Fatalf("slot %d: direct=(%d,%v) cached=(%d,%v)", s, a, okA, b, okB)
 		}
@@ -203,9 +203,8 @@ func TestSenderCacheEquivalence(t *testing.T) {
 	// a drained cache must be empty: a second drain delivers nothing
 	cache.drain(cached)
 	cached.swap()
-	var m uint32
 	for s := 0; s < slots; s++ {
-		if cached.take(s, &m) {
+		if _, ok := cached.take(s); ok {
 			t.Fatalf("slot %d: message after draining an empty cache", s)
 		}
 	}

@@ -319,6 +319,7 @@ func (e *Engine[V, M]) runVertexAt(w int, shard, local int32, global int32) {
 	sh.active[local] = 1
 	ctx.ran++
 	e.prog.Compute(ctx, Vertex[V, M]{e: e, slot: global, shard: shard, local: local})
+	sh.mb.consume(int(local)) // consume-on-return, as in runVertex
 }
 
 // frontierSpans chunks each shard's current frontier into up to

@@ -123,7 +123,8 @@ type IPregelParams struct {
 	// V, E are the graph dimensions; Base is the smallest identifier
 	// (desolate mapping wastes Base slots).
 	V, E, Base uint64
-	// ValueBytes and MessageBytes are the user value and message sizes.
+	// ValueBytes and MessageBytes are the user value and message sizes;
+	// MessageBytes must be 1, 2, 4 or 8 (core.MailboxBytesPerSlot).
 	ValueBytes, MessageBytes uint64
 	// InAdjacency / OutAdjacency say which CSR directions are resident
 	// (the paper's per-version vertex internals, §3.2).
@@ -143,16 +144,10 @@ func IPregelBytes(p IPregelParams) uint64 {
 	total := slots * p.ValueBytes // values
 	total += slots                // active flags
 
-	// mailbox: double-buffered single-message inboxes + flags
-	total += slots*2*p.MessageBytes + slots*2
-	switch p.Config.Combiner {
-	case core.CombinerMutex:
-		total += slots * 8
-	case core.CombinerSpin:
-		total += slots * 4
-	case core.CombinerPull:
-		total += slots*p.MessageBytes + slots // outbox + flags, no locks
-	}
+	// mailbox: one cell per slot holding the version's lock and both
+	// buffers' messages and flags (plus the pull version's outbox), sized
+	// by the engine's own unsafe.Sizeof accounting
+	total += slots * core.MailboxBytesPerSlot(p.Config.Combiner, p.MessageBytes)
 	if p.Config.Addressing == core.AddressHashmap {
 		total += p.V * (4 + 4 + 10 + 4) // map entries + ids slice (see core)
 	}

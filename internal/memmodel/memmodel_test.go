@@ -31,32 +31,40 @@ func TestGraphBinaryBytesMatchesPaper(t *testing.T) {
 }
 
 // The analytic iPregel model must agree exactly with the engine's own
-// accounting plus the graph's CSR cost (no drift between model and code).
+// accounting plus the graph's CSR cost (no drift between model and code),
+// for 4- and 8-byte messages, whose mailbox cells pad differently.
 func TestIPregelModelMatchesEngine(t *testing.T) {
 	g := gen.RMATN(500, 3000, 11, 1, true)
 	for _, cfg := range []core.Config{
 		{Combiner: core.CombinerMutex},
 		{Combiner: core.CombinerSpin},
 		{Combiner: core.CombinerPull},
+		{Combiner: core.CombinerAtomic},
 		{Combiner: core.CombinerSpin, Addressing: core.AddressDesolate},
 		{Combiner: core.CombinerSpin, Addressing: core.AddressHashmap},
 	} {
-		e, err := core.New(g, cfg, core.Program[uint32, uint32]{
-			Compute: func(*core.Context[uint32, uint32], core.Vertex[uint32, uint32]) {},
-			Combine: func(*uint32, uint32) {},
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", cfg, err)
-		}
-		got := IPregelBytes(IPregelParams{
-			Config: cfg, V: 500, E: 3000, Base: 1,
-			ValueBytes: 4, MessageBytes: 4,
-			InAdjacency: true, OutAdjacency: true,
-		})
-		want := e.FootprintBytes() + g.MemoryBytes()
-		if got != want {
-			t.Fatalf("%s/%s: model %d != engine+graph %d", cfg.Combiner, cfg.Addressing, got, want)
-		}
+		modelMatchesEngine[uint32](t, g, cfg, 4)
+		modelMatchesEngine[float64](t, g, cfg, 8)
+	}
+}
+
+func modelMatchesEngine[T any](t *testing.T, g *graph.Graph, cfg core.Config, width uint64) {
+	t.Helper()
+	e, err := core.New(g, cfg, core.Program[T, T]{
+		Compute: func(*core.Context[T, T], core.Vertex[T, T]) {},
+		Combine: func(*T, T) {},
+	})
+	if err != nil {
+		t.Fatalf("%v: %v", cfg, err)
+	}
+	got := IPregelBytes(IPregelParams{
+		Config: cfg, V: 500, E: 3000, Base: 1,
+		ValueBytes: width, MessageBytes: width,
+		InAdjacency: true, OutAdjacency: true,
+	})
+	want := e.FootprintBytes() + g.MemoryBytes()
+	if got != want {
+		t.Fatalf("%s/%s/%d-byte: model %d != engine+graph %d", cfg.Combiner, cfg.Addressing, width, got, want)
 	}
 }
 
